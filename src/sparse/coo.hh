@@ -75,7 +75,8 @@ class CooMatrix
     std::vector<CooEntry> &entries() { return entries_; }
 
     /**
-     * Sort entries row-major and sum duplicates. Entries whose combined
+     * Sort entries row-major and sum duplicates; O(nnz) and untouched
+     * when the entries are already canonical. Entries whose combined
      * value is exactly zero are kept (explicit zeros are legal in Matrix
      * Market files and some pruning flows produce them).
      */

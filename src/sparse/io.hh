@@ -19,13 +19,21 @@
 
 namespace misam {
 
-/** Parse a Matrix Market stream into COO; throws via fatal() on bad input. */
+/**
+ * Parse the rest of a Matrix Market stream into COO; fatal() on bad
+ * input. Reads the stream to its end, then parses that one buffer. The
+ * accepted numbers are exactly those `std::istream >>` reads in the "C"
+ * locale (docs/ARCHITECTURE.md, Layer 1).
+ */
 CooMatrix readMatrixMarket(std::istream &in);
 
 /** Read a Matrix Market file; fatal() if it cannot be opened or parsed. */
 CooMatrix readMatrixMarketFile(const std::string &path);
 
-/** Write a matrix as Matrix Market general/real coordinate format. */
+/**
+ * Write a matrix as Matrix Market general/real coordinate format, each
+ * value in its shortest form that reads back to the same double.
+ */
 void writeMatrixMarket(std::ostream &out, const CsrMatrix &m);
 
 /** Write to a file; fatal() if the file cannot be created. */

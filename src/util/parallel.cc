@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include <pthread.h>
+
 #include "util/env.hh"
 
 namespace misam {
@@ -16,6 +18,24 @@ struct RegionGuard
     RegionGuard() { t_in_parallel_region = true; }
     ~RegionGuard() { t_in_parallel_region = false; }
 };
+
+/** Run the whole loop on the calling thread, as one parallel region. */
+void
+runInline(std::size_t n, const std::function<void(std::size_t)> &fn)
+{
+    RegionGuard guard;
+    for (std::size_t i = 0; i < n; ++i)
+        fn(i);
+}
+
+/** Forks this process descends through; bumped in each fork() child. */
+std::atomic<unsigned> g_fork_epoch{0};
+
+void
+onForkChild()
+{
+    ++g_fork_epoch;
+}
 
 } // namespace
 
@@ -47,7 +67,16 @@ inParallelRegion()
 
 ThreadPool::ThreadPool(unsigned threads)
 {
+    [[maybe_unused]] static const int registered =
+        pthread_atfork(nullptr, nullptr, onForkChild);
+    fork_epoch_ = g_fork_epoch.load();
     ensureWorkers(threads);
+}
+
+bool
+ThreadPool::inheritedAcrossFork() const
+{
+    return fork_epoch_ != g_fork_epoch.load();
 }
 
 void
@@ -126,12 +155,14 @@ ThreadPool::forEach(std::size_t n,
                     const std::function<void(std::size_t)> &fn,
                     unsigned max_workers)
 {
+    if (inheritedAcrossFork()) {
+        runInline(n, fn);
+        return;
+    }
     std::lock_guard<std::mutex> submit(submit_mutex_);
     ensureWorkers(max_workers);
     if (workers_.empty() || max_workers == 0) {
-        RegionGuard guard;
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
+        runInline(n, fn);
         return;
     }
     {
@@ -154,8 +185,12 @@ ThreadPool::forEach(std::size_t n,
 ThreadPool &
 ThreadPool::global()
 {
+    // Never destroyed: idle workers end with the process. A fork()
+    // child (a death test calling fatal(), say) inherits the pool but
+    // not its threads, and tearing it down at exit there would wait
+    // forever on waiters that do not exist.
     // misam-lint: allow(guarded-state) -- magic-static init is thread-safe and ThreadPool synchronizes internally (job_mutex_/done_cv_)
-    static ThreadPool pool(
+    static ThreadPool &pool = *new ThreadPool(
         resolveThreads(0) > 1 ? resolveThreads(0) - 1 : 0);
     return pool;
 }

@@ -91,12 +91,19 @@ class ThreadPool
     /**
      * The process-wide pool, lazily built with resolveThreads(0) - 1
      * workers (the submitting thread is the remaining lane). Sized once
-     * at first use; later MISAM_THREADS changes are ignored, but
-     * explicit per-call thread counts can still grow it.
+     * at first use and never destroyed; later MISAM_THREADS changes are
+     * ignored, but explicit per-call thread counts can still grow it.
+     * In a fork() child forEach runs inline.
      */
     static ThreadPool &global();
 
   private:
+    /**
+     * True in a fork() child of the process that built this pool: the
+     * child holds copies of the worker handles but none of the threads.
+     */
+    bool inheritedAcrossFork() const;
+
     void workerLoop(std::uint64_t start_generation);
     void ensureWorkers(unsigned target);
     void drainJob(std::size_t n,
@@ -119,6 +126,7 @@ class ThreadPool
 
     std::mutex submit_mutex_; ///< Serializes forEach callers.
     std::vector<std::thread> workers_;
+    unsigned fork_epoch_ = 0; ///< Process fork count at construction.
 };
 
 /**

@@ -52,6 +52,18 @@ TEST(Coo, SortAndCombineSumsDuplicates)
     EXPECT_TRUE(coo.isCanonical());
 }
 
+TEST(Coo, SortAndCombineSumsDuplicatesInSortedInput)
+{
+    // Sorted, but not canonical: the early return must not skip these.
+    CooMatrix coo(2, 2);
+    coo.addEntry(0, 0, 1.0);
+    coo.addEntry(0, 1, 2.0);
+    coo.addEntry(0, 1, 3.0);
+    coo.sortAndCombine();
+    ASSERT_EQ(coo.nnz(), 2u);
+    EXPECT_DOUBLE_EQ(coo.entries()[1].value, 5.0);
+}
+
 TEST(Coo, IsCanonicalDetectsDisorder)
 {
     CooMatrix coo(2, 2);

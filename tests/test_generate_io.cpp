@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "features/features.hh"
 #include "sparse/generate.hh"
@@ -233,9 +238,30 @@ TEST(MatrixMarket, WriteReadRoundTrip)
     std::stringstream ss;
     writeMatrixMarket(ss, a);
     const CsrMatrix b = cooToCsr(readMatrixMarket(ss));
-    EXPECT_EQ(a.rows(), b.rows());
-    EXPECT_EQ(a.cols(), b.cols());
-    EXPECT_TRUE(a.approxEqual(b, 1e-6));
+    EXPECT_TRUE(a == b);
+
+    // Each of these needs all 17 significant digits to survive.
+    const CsrMatrix exact(2, 4, {0, 3, 5}, {0, 1, 3, 1, 2},
+                          {0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0,
+                           6.02214076e23 / 7.0, 2.2250738585072011e-308});
+    std::stringstream text;
+    writeMatrixMarket(text, exact);
+    EXPECT_TRUE(exact == cooToCsr(readMatrixMarket(text))) << text.str();
+}
+
+TEST(MatrixMarket, FileAndStreamReadersAgree)
+{
+    Rng rng(31);
+    const CsrMatrix a = generateUniform(64, 48, 0.1, rng);
+    const std::string path =
+        testing::TempDir() + "misam_file_and_stream_readers_agree.mtx";
+    writeMatrixMarketFile(path, a);
+    std::ifstream in(path);
+    const CooMatrix from_stream = readMatrixMarket(in);
+    const CooMatrix from_file = readMatrixMarketFile(path);
+    std::filesystem::remove(path);
+    EXPECT_TRUE(cooToCsr(from_file) == a);
+    EXPECT_TRUE(cooToCsr(from_stream) == a);
 }
 
 TEST(MatrixMarket, ParsesGeneralReal)
@@ -315,6 +341,300 @@ TEST(MatrixMarketDeath, MissingFileFails)
 {
     EXPECT_EXIT(readMatrixMarketFile("/nonexistent/path.mtx"),
                 testing::ExitedWithCode(1), "cannot open");
+}
+
+// --------------------------------------------------------------------
+// Matrix Market token contract. Every row below is the outcome of
+// reading the file with `std::istream >>` extraction in the "C" locale:
+// accepted with this exact bit pattern, or fatal. The buffered reader
+// must match each one.
+// --------------------------------------------------------------------
+
+/** A 1x1 real general file whose only value is `token`. */
+std::string
+oneValueFile(const std::string &token)
+{
+    return "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 " +
+           token + "\n";
+}
+
+/** A 2x2 real general file whose one entry has row index `token`. */
+std::string
+oneIndexFile(const std::string &token)
+{
+    return "%%MatrixMarket matrix coordinate real general\n2 2 1\n" +
+           token + " 1 1.0\n";
+}
+
+struct AcceptedValue
+{
+    const char *token;
+    std::uint64_t bits;
+};
+
+class MatrixMarketValueToken : public testing::TestWithParam<AcceptedValue>
+{
+};
+
+TEST_P(MatrixMarketValueToken, ParsesToIstreamBits)
+{
+    std::stringstream ss(oneValueFile(GetParam().token));
+    const CooMatrix coo = readMatrixMarket(ss);
+    ASSERT_EQ(coo.nnz(), 1u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(coo.entries()[0].value),
+              GetParam().bits);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Istream, MatrixMarketValueToken,
+    testing::Values(
+        AcceptedValue{"+1.5", 0x3ff8000000000000},
+        AcceptedValue{"-0", 0x8000000000000000},
+        AcceptedValue{"-0.0", 0x8000000000000000},
+        AcceptedValue{" .5", 0x3fe0000000000000},
+        AcceptedValue{"+.5", 0x3fe0000000000000},
+        AcceptedValue{"-.5", 0xbfe0000000000000},
+        AcceptedValue{"1.", 0x3ff0000000000000},
+        AcceptedValue{"1.e5", 0x40f86a0000000000},
+        AcceptedValue{"1E5", 0x40f86a0000000000},
+        AcceptedValue{"1e+5", 0x40f86a0000000000},
+        AcceptedValue{"-1E-05", 0xbee4f8b588e368f1},
+        AcceptedValue{"00012", 0x4028000000000000},
+        AcceptedValue{"0.1", 0x3fb999999999999a},
+        AcceptedValue{"0.30000000000000004", 0x3fd3333333333334},
+        AcceptedValue{"9007199254740993", 0x4340000000000000},
+        AcceptedValue{"123456789012345678901234567890",
+                      0x45f8ee90ff6c373e},
+        AcceptedValue{"1.7976931348623157e308", 0x7fefffffffffffff},
+        AcceptedValue{"2.2250738585072011e-308", 0x000fffffffffffff},
+        AcceptedValue{"1e-310", 0x000012688b70e62b},
+        AcceptedValue{"4.9e-324", 0x0000000000000001},
+        AcceptedValue{"2.5e-324", 0x0000000000000001},
+        // Underflow rounds to a signed zero instead of failing.
+        AcceptedValue{"2e-324", 0x0000000000000000},
+        AcceptedValue{"1e-400", 0x0000000000000000},
+        AcceptedValue{"-1e-400", 0x8000000000000000},
+        // Reading stops at the first character that cannot extend the
+        // number; the rest of a one-entry file is never read.
+        AcceptedValue{"1e5e3", 0x40f86a0000000000},
+        AcceptedValue{"1e5.5", 0x40f86a0000000000},
+        AcceptedValue{"1.5.3", 0x3ff8000000000000},
+        AcceptedValue{"1,5", 0x3ff0000000000000},
+        AcceptedValue{"1.5abc", 0x3ff8000000000000},
+        AcceptedValue{"0x1p3", 0x0000000000000000}));
+
+class MatrixMarketValueTokenDeath : public testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(MatrixMarketValueTokenDeath, IsFatal)
+{
+    std::stringstream ss(oneValueFile(GetParam()));
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                "missing value at entry 0");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Istream, MatrixMarketValueTokenDeath,
+    testing::Values("inf", "-inf", "+inf", "infinity", "nan", "NaN", "1e",
+                    "1e+", "1e-", "e5", ".e5", ".", "+", "-", "+-1", "--1",
+                    "1e400", "-1e400", "1.7976931348623159e308"));
+
+class MatrixMarketIndexToken : public testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(MatrixMarketIndexToken, ParsesAsRowOne)
+{
+    std::stringstream ss(oneIndexFile(GetParam()));
+    const CooMatrix coo = readMatrixMarket(ss);
+    ASSERT_EQ(coo.nnz(), 1u);
+    EXPECT_EQ(coo.entries()[0].row, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Istream, MatrixMarketIndexToken,
+                         testing::Values("+1", "01", " 1"));
+
+struct RejectedIndex
+{
+    const char *token;
+    const char *reason;
+};
+
+class MatrixMarketIndexTokenDeath
+    : public testing::TestWithParam<RejectedIndex>
+{
+};
+
+TEST_P(MatrixMarketIndexTokenDeath, IsFatal)
+{
+    std::stringstream ss(oneIndexFile(GetParam().token));
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                GetParam().reason);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Istream, MatrixMarketIndexTokenDeath,
+    testing::Values(
+        // A sign is read as strtoull reads it: '-' wraps modulo 2^64.
+        RejectedIndex{"-1", "out of range"},
+        RejectedIndex{"-0", "out of range"},
+        RejectedIndex{"0", "out of range"},
+        RejectedIndex{"18446744073709551615", "out of range"},
+        RejectedIndex{"18446744073709551616", "truncated"},
+        RejectedIndex{"99999999999999999999999", "truncated"},
+        RejectedIndex{"+-1", "truncated"},
+        RejectedIndex{"++1", "truncated"},
+        RejectedIndex{"1.0", "truncated"},
+        RejectedIndex{"1e0", "truncated"},
+        RejectedIndex{"0x1", "truncated"}));
+
+struct Layout
+{
+    const char *name;
+    const char *text;
+};
+
+class MatrixMarketLayout : public testing::TestWithParam<Layout>
+{
+};
+
+TEST_P(MatrixMarketLayout, ReadsLikeThePlainFile)
+{
+    std::stringstream plain("%%MatrixMarket matrix coordinate real general\n"
+                            "2 2 2\n"
+                            "1 2 1.5\n"
+                            "2 1 2.5\n");
+    std::stringstream variant(GetParam().text);
+    EXPECT_TRUE(cooToCsr(readMatrixMarket(variant)) ==
+                cooToCsr(readMatrixMarket(plain)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Istream, MatrixMarketLayout,
+    testing::Values(
+        Layout{"Tabs", "%%MatrixMarket matrix coordinate real general\n"
+                       "2\t2\t2\n1\t2\t1.5\n2\t1\t2.5\n"},
+        Layout{"Crlf", "%%MatrixMarket matrix coordinate real general\r\n"
+                       "% comment\r\n2 2 2\r\n1 2 1.5\r\n2 1 2.5\r\n"},
+        Layout{"EntriesSplitAcrossLines",
+               "%%MatrixMarket matrix coordinate real general\n"
+               "2 2 2\n1\n2\n1.5 2\n1 2.5\n"},
+        Layout{"VerticalTabAndFormFeed",
+               "%%MatrixMarket matrix coordinate real general\n"
+               "2 2 2\n1\v2\f1.5\n2 1 2.5\n"},
+        Layout{"NoTrailingNewline",
+               "%%MatrixMarket matrix coordinate real general\n"
+               "2 2 2\n1 2 1.5\n2 1 2.5"},
+        Layout{"TrailingTextIgnored",
+               "%%MatrixMarket matrix coordinate real general\n"
+               "2 2 2\n1 2 1.5\n2 1 2.5\n3 3 hello\n"},
+        Layout{"BlankAndCommentLinesBeforeSize",
+               "%%MatrixMarket matrix coordinate real general\n"
+               "\n% a\n\n%b\n2 2 2\n1 2 1.5\n2 1 2.5\n"},
+        Layout{"SizeLineSignsAndTrailingText",
+               "%%MatrixMarket matrix coordinate real general\n"
+               "+2 2 +2 extra\n1 2 1.5\n2 1 2.5\n"},
+        Layout{"BannerCaseAndSpacing",
+               "  %%MatrixMarket MATRIX Coordinate REAL General extra\n"
+               "2 2 2\n1 2 1.5\n2 1 2.5\n"},
+        Layout{"UnsortedWithDuplicates",
+               "%%MatrixMarket matrix coordinate real general\n"
+               "2 2 3\n2 1 2.5\n1 2 1.0\n1 2 0.5\n"}),
+    [](const testing::TestParamInfo<Layout> &info) {
+        return std::string(info.param.name);
+    });
+
+struct RejectedLayout
+{
+    const char *name;
+    const char *text;
+    const char *reason;
+};
+
+class MatrixMarketLayoutDeath
+    : public testing::TestWithParam<RejectedLayout>
+{
+};
+
+TEST_P(MatrixMarketLayoutDeath, IsFatal)
+{
+    std::stringstream ss(GetParam().text);
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                GetParam().reason);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Istream, MatrixMarketLayoutDeath,
+    testing::Values(
+        RejectedLayout{"Empty", "", "empty input"},
+        RejectedLayout{"BlankFirstLine",
+                       "\n%%MatrixMarket matrix coordinate real general\n"
+                       "1 1 0\n",
+                       "banner"},
+        RejectedLayout{"LowercaseTag",
+                       "%%matrixmarket matrix coordinate real general\n"
+                       "1 1 0\n",
+                       "banner"},
+        RejectedLayout{"MissingSymmetry",
+                       "%%MatrixMarket matrix coordinate real\n1 1 0\n",
+                       "unsupported symmetry"},
+        RejectedLayout{"ArrayFormat",
+                       "%%MatrixMarket matrix array real general\n"
+                       "1 1\n1\n",
+                       "only 'matrix coordinate'"},
+        RejectedLayout{"Hermitian",
+                       "%%MatrixMarket matrix coordinate real hermitian\n"
+                       "1 1 0\n",
+                       "unsupported symmetry"},
+        RejectedLayout{"NoSizeLine",
+                       "%%MatrixMarket matrix coordinate real general\n"
+                       "% only a comment\n",
+                       "bad size line"},
+        RejectedLayout{"WhitespaceOnlySizeLine",
+                       "%%MatrixMarket matrix coordinate real general\n"
+                       " \n1 1 0\n",
+                       "bad size line"},
+        RejectedLayout{"SizeSplitAcrossLines",
+                       "%%MatrixMarket matrix coordinate real general\n"
+                       "2 2\n1\n",
+                       "bad size line"},
+        RejectedLayout{"FractionalSize",
+                       "%%MatrixMarket matrix coordinate real general\n"
+                       "2.0 2 0\n",
+                       "bad size line"},
+        RejectedLayout{"CommentAmongEntries",
+                       "%%MatrixMarket matrix coordinate real general\n"
+                       "2 2 2\n1 1 3\n% c\n2 2 4\n",
+                       "truncated at entry 1"},
+        RejectedLayout{"JunkBetweenEntries",
+                       "%%MatrixMarket matrix coordinate real general\n"
+                       "1 2 2\n1 1 1.5abc\n1 2 2\n",
+                       "truncated at entry 1"}),
+    [](const testing::TestParamInfo<RejectedLayout> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(MatrixMarketDeath, RejectsNnzTheTextCannotHold)
+{
+    // Used to reserve 10^14 entries up front and abort on bad_alloc.
+    std::stringstream ss(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "1 1 99999999999999\n"
+        "1 1 1.0\n");
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                "truncated at entry 1");
+}
+
+TEST(MatrixMarketDeath, RejectsDimensionAboveIndexRange)
+{
+    // 2^32 + 1 rows used to wrap silently to a 1-row matrix.
+    std::stringstream ss(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "4294967297 1 1\n"
+        "1 1 1.0\n");
+    EXPECT_EXIT(readMatrixMarket(ss), testing::ExitedWithCode(1),
+                "size line '4294967297 1 1'");
 }
 
 } // namespace

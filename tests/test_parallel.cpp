@@ -17,6 +17,7 @@
 #include "core/router.hh"
 #include "sim/design_sim.hh"
 #include "sparse/generate.hh"
+#include "util/logging.hh"
 #include "util/parallel.hh"
 #include "util/random.hh"
 #include "workloads/training_data.hh"
@@ -120,6 +121,20 @@ TEST(Parallel, NestedCallsRunInlineWithoutDeadlock)
     EXPECT_FALSE(inParallelRegion());
     for (std::size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(PoolForkDeath, ForkedChildRunsInlineAndExitsCleanly)
+{
+    // Warm the global pool in this process; a death-test child is a
+    // fork() of it, with the worker handles but none of the threads.
+    parallelFor(64, [](std::size_t) {}, 4);
+    EXPECT_EXIT(
+        {
+            std::atomic<int> calls{0};
+            parallelFor(64, [&](std::size_t) { calls.fetch_add(1); }, 4);
+            fatal("child ran ", calls.load(), " indices");
+        },
+        testing::ExitedWithCode(1), "child ran 64 indices");
 }
 
 // --------------------------------------------------------------------
